@@ -37,8 +37,8 @@
 //! Multi-client fan-in (`--clients N`) splits the offered load across
 //! `N` concurrent paced clients, each on its own socket with its own
 //! arrival schedule (seed `base ^ idx`) at `rate / N` — the server sees
-//! genuinely interleaved flows, which is what exercises the batched and
-//! io_uring receive paths' frame demultiplexing. The merged record's
+//! genuinely interleaved flows, which is what exercises the batched
+//! receive path's frame demultiplexing. The merged record's
 //! `net` block then carries per-client round-trip tails and the
 //! cross-client p99.9 spread (max − min), so fan-in unfairness is one
 //! field, not a re-run.
@@ -47,11 +47,9 @@
 //! `--clients N` (default 1), `--workload kv|spin|<preset>` (a
 //! hostile-traffic preset name from `tq_workloads::hostile` runs its
 //! workload *and* arrival process as spin jobs), `--workers`,
-//! `--transport mmsg|syscall|io_uring` (both sides; `io_uring` uses the
-//! connected fixed-buffer client tier against an io_uring server and
-//! skips loudly — exit 0 with the probe's reason — where the kernel
-//! lacks it), `--out`; `TQ_SEED`, `TQ_AUDIT`, `TQ_RT_WORKERS` as
-//! everywhere else.
+//! `--transport mmsg|syscall` (both sides: `recvmmsg`/`sendmmsg` bursts,
+//! or one datagram per syscall), `--out`; `TQ_SEED`, `TQ_AUDIT`,
+//! `TQ_RT_WORKERS` as everywhere else.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,8 +61,7 @@ use tq_core::Nanos;
 use tq_harness::{json, ClientRtt, NetMeta, Pacer, PolicyMeta, RtEngine, RunRecord, RunSpec};
 use tq_runtime::kv::{kv_factory, kv_store};
 use tq_runtime::net::{decode_response, encode_request, serve, NetConfig, ServeOutcome};
-use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH};
-use tq_runtime::uring::{self, IoUringTransport, UringConfig, UringMode};
+use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport};
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 use tq_sim::TailStats;
 use tq_workloads::{table1, ArrivalProcess};
@@ -87,9 +84,6 @@ enum TransportChoice {
     Syscall,
     /// `recvmmsg`/`sendmmsg` batching (`udp:mmsg`).
     Mmsg,
-    /// io_uring: connected fixed-buffer client tier against an
-    /// io_uring server; requires the capability probe to pass.
-    IoUring,
 }
 
 impl TransportChoice {
@@ -97,7 +91,6 @@ impl TransportChoice {
         match self {
             TransportChoice::Syscall => "udp:syscall",
             TransportChoice::Mmsg => "udp:mmsg",
-            TransportChoice::IoUring => "io_uring",
         }
     }
 }
@@ -191,9 +184,8 @@ fn parse_args() -> Args {
                 args.transport = match value("--transport").as_str() {
                     "mmsg" => TransportChoice::Mmsg,
                     "syscall" => TransportChoice::Syscall,
-                    "io_uring" => TransportChoice::IoUring,
                     v => {
-                        eprintln!("--transport takes mmsg|syscall|io_uring, got {v:?}");
+                        eprintln!("--transport takes mmsg|syscall, got {v:?}");
                         std::process::exit(2);
                     }
                 };
@@ -209,7 +201,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "unknown argument {a:?} (supported: --smoke, --compare, --requests N, \
                      --rate RPS, --clients N, --workload kv|spin, --workers N, \
-                     --transport mmsg|syscall|io_uring, --policy NAME, --connect ADDR, \
+                     --transport mmsg|syscall, --policy NAME, --connect ADDR, \
                      --serve ADDR, --serve-secs N, --out PATH)"
                 );
                 std::process::exit(2);
@@ -234,66 +226,12 @@ fn audit_enabled() -> bool {
     std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
 }
 
-/// `--transport io_uring` on a kernel whose probe fails: skip loudly,
-/// exit clean — the CI job passes without pretending the arm ran.
-fn gate_uring_or_skip() {
-    let caps = uring::probe();
-    if !caps.available {
-        println!("SKIPPED (--transport io_uring): {}", caps.reason);
-        std::process::exit(0);
-    }
-}
-
-/// The server-side transport for a choice; io_uring pools are sized as
-/// in `net::server_transport` (admission bound plus a burst of slack).
-fn server_wire(
-    choice: TransportChoice,
-    socket: UdpSocket,
-    net_config: &NetConfig,
-) -> std::io::Result<Box<dyn Transport + Send>> {
-    Ok(match choice {
-        TransportChoice::Syscall => Box::new(UdpTransport::per_datagram(socket)?),
-        TransportChoice::Mmsg => Box::new(UdpTransport::batched(socket)?),
-        TransportChoice::IoUring => {
-            let pool = net_config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
-            Box::new(IoUringTransport::server_with(
-                socket,
-                UringConfig {
-                    mode: UringMode::Auto,
-                    recv_pool: pool,
-                    send_pool: pool,
-                },
-            )?)
-        }
-    })
-}
-
-/// A client transport aimed at `srv_addr`: the io_uring choice uses the
-/// connected tier (registered fixed buffers where the probe allows),
-/// the others their mmsg/syscall counterparts.
-fn client_wire(choice: TransportChoice, srv_addr: SocketAddr) -> Box<dyn Transport + Send> {
-    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client socket");
-    set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
+/// A transport over `socket` in the chosen mode: one datagram per
+/// syscall, or `recvmmsg`/`sendmmsg` bursts.
+fn wire(choice: TransportChoice, socket: UdpSocket) -> std::io::Result<UdpTransport> {
     match choice {
-        TransportChoice::Syscall => {
-            Box::new(UdpTransport::per_datagram(socket).expect("client transport"))
-        }
-        TransportChoice::Mmsg => Box::new(UdpTransport::batched(socket).expect("client transport")),
-        TransportChoice::IoUring => {
-            socket.connect(srv_addr).expect("connect client");
-            // Armed receive depth covers an open-loop backlog burst.
-            Box::new(
-                IoUringTransport::connected_with(
-                    socket,
-                    UringConfig {
-                        mode: UringMode::Auto,
-                        recv_pool: 512,
-                        send_pool: 512,
-                    },
-                )
-                .expect("uring client"),
-            )
-        }
+        TransportChoice::Syscall => UdpTransport::per_datagram(socket),
+        TransportChoice::Mmsg => UdpTransport::batched(socket),
     }
 }
 
@@ -338,7 +276,9 @@ fn run_client(
     horizon: Nanos,
     smoke: bool,
 ) -> ClientOutcome {
-    let mut transport = client_wire(choice, srv_addr);
+    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client socket");
+    set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
+    let mut transport = wire(choice, socket).expect("client transport");
     let mut rx = vec![Frame::empty(); transport.max_batch()];
     let mut state = ClientState {
         recv_time: vec![None; schedule.len()],
@@ -407,8 +347,8 @@ fn run_client(
 }
 
 /// Drains every response currently readable, stamping receive times.
-fn drain_responses<T: Transport + ?Sized>(
-    transport: &mut T,
+fn drain_responses(
+    transport: &mut UdpTransport,
     rx: &mut [Frame],
     clock: &TscClock,
     t0: Nanos,
@@ -485,7 +425,7 @@ fn run_server(args: &Args, config: ServerConfig, bind: SocketAddr) {
         config.discipline,
         config.workers,
     );
-    let mut t = server_wire(args.transport, socket, &net_config).expect("serve transport");
+    let mut t = wire(args.transport, socket).expect("serve transport");
     let outcome = serve(server, &mut t, &stop, &net_config).expect("serve ok");
     println!(
         "server: received {}  responded {}  malformed {}  shed {}",
@@ -524,9 +464,6 @@ fn main() {
         c.audit = audit;
         c
     };
-    if args.transport == TransportChoice::IoUring {
-        gate_uring_or_skip();
-    }
     if let Some(bind) = args.serve {
         run_server(&args, server_config, bind);
         return;
@@ -623,7 +560,7 @@ fn main() {
             };
             let stop2 = Arc::clone(&stop);
             server_thread = Some(std::thread::spawn(move || -> std::io::Result<ServeOutcome> {
-                let mut t = server_wire(choice, socket, &net_config)?;
+                let mut t = wire(choice, socket)?;
                 serve(server, &mut t, &stop2, &net_config)
             }));
             addr

@@ -18,12 +18,9 @@
 //!   the workers' counters.
 //! * [`server`] — the [`TinyQuanta`] facade tying it together.
 //! * [`transport`] — batched datagram I/O: the [`transport::Transport`]
-//!   trait and a UDP implementation moving up to 64 frames per
-//!   `recvmmsg`/`sendmmsg` syscall.
-//! * [`uring`] — the completion-driven io_uring implementation of the
-//!   same trait: mmap'd SQ/CQ rings, registered fixed buffers, and
-//!   provided-buffer multishot receive, with a startup capability probe
-//!   that degrades feature-by-feature down to the mmsg transport.
+//!   trait and its one implementation, a UDP socket moving up to 64
+//!   frames per `recvmmsg`/`sendmmsg` syscall (or one per syscall in
+//!   the per-datagram mode and off Linux).
 //! * [`net`] — the socket front end speaking the paper's client
 //!   protocol over a [`transport::Transport`], burst-submitting into the
 //!   dispatch pipeline.
@@ -63,7 +60,6 @@ pub mod net;
 pub mod ring;
 pub mod server;
 pub mod transport;
-pub mod uring;
 pub mod worker;
 
 pub use clock::TscClock;

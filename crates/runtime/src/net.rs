@@ -14,9 +14,15 @@
 //! * in-flight `tag`/`addr` bookkeeping lives in a preallocated
 //!   [`InFlightSlab`] keyed by the server's *sequential* [`JobId`]s —
 //!   no hashing, no per-request allocation;
-//! * completions are coalesced per poll iteration and flushed with one
-//!   `sendmmsg` ([`Transport::send_batch`]) — never one `send_to` per
-//!   completion, in either transport mode.
+//! * completions are coalesced per poll iteration and handed down as one
+//!   burst ([`Transport::send_batch`]): one `sendmmsg` when batched, and
+//!   never a send hidden in the per-completion delivery path.
+//!
+//! The wire is a [`UdpTransport`]: batched `recvmmsg`/`sendmmsg` (the
+//! socket stand-in for the NIC's receive bursts), or one frame per
+//! syscall in its per-datagram mode and on targets without the mmsg
+//! calls. The loop is generic over [`Transport`], so a wrapper such as
+//! a tracing shim plugs in unchanged.
 //!
 //! Workers' completions still bypass the dispatcher exactly as §3.2
 //! prescribes: the serve loop plays the per-worker TX queues' role,
@@ -42,7 +48,7 @@
 //! the transport).
 
 use crate::server::{Completion, ServerStats, TinyQuanta};
-use crate::transport::{Frame, Transport, TransportStats, UdpTransport, MAX_BATCH};
+use crate::transport::{Frame, Transport, TransportStats, UdpTransport};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -316,10 +322,9 @@ pub fn serve<T: Transport>(
     config: &NetConfig,
 ) -> io::Result<ServeOutcome> {
     /// Full receive batches drained back-to-back per poll iteration.
-    /// With the completion-driven io_uring transport the kernel keeps
-    /// filling the armed receive pool *while* the loop decodes and
-    /// submits, so going straight back for the backlog overlaps
-    /// submission with reception; the bound keeps completions (and the
+    /// A full burst means the socket likely holds more, so the loop goes
+    /// straight back for the backlog instead of paying a completion
+    /// drain between bursts; the bound keeps completions (and the
     /// response flush) from starving under sustained overload.
     const RECV_ROUNDS_PER_POLL: usize = 4;
 
@@ -469,59 +474,6 @@ pub fn serve_udp(
     serve(server, &mut transport, &stop, &NetConfig::default()).map(|o| o.net)
 }
 
-/// Builds the best server-side transport the host supports: io_uring
-/// when the startup capability probe validated it (receive pool sized
-/// against the config's in-flight bound, so the armed SQE depth covers
-/// everything the admission control will let in), the batched
-/// `recvmmsg`/`sendmmsg` transport otherwise. The choice is observable
-/// through [`Transport::label`]; callers that need the fallback *reason*
-/// print [`crate::uring::probe`]'s summary.
-///
-/// # Errors
-///
-/// Propagates socket/ring setup errors (a probe-validated host failing
-/// ring setup for this particular socket is a real error, not a
-/// fallback case).
-pub fn server_transport(
-    socket: UdpSocket,
-    config: &NetConfig,
-) -> io::Result<Box<dyn Transport + Send>> {
-    let caps = crate::uring::probe();
-    if caps.available {
-        // Depth covers the admission bound plus one burst of slack so a
-        // full slab still leaves armed receives for the datagrams that
-        // will be shed; `UringConfig` clamps to its own 1..=1024 range.
-        let pool = config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
-        let transport = crate::uring::IoUringTransport::server_with(
-            socket,
-            crate::uring::UringConfig {
-                mode: crate::uring::UringMode::Auto,
-                recv_pool: pool,
-                send_pool: pool,
-            },
-        )?;
-        Ok(Box::new(transport))
-    } else {
-        Ok(Box::new(UdpTransport::batched(socket)?))
-    }
-}
-
-/// Serves `server` over the probe-selected transport (io_uring where
-/// available, batched mmsg otherwise — see [`server_transport`]) until
-/// `stop` is set and all in-flight work has drained.
-///
-/// # Errors
-///
-/// Propagates socket/ring errors.
-pub fn serve_auto(
-    server: TinyQuanta,
-    socket: UdpSocket,
-    stop: Arc<AtomicBool>,
-) -> io::Result<NetStats> {
-    let mut transport = server_transport(socket, &NetConfig::default())?;
-    serve(server, &mut transport, &stop, &NetConfig::default()).map(|o| o.net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,53 +611,6 @@ mod tests {
         assert_eq!(stats.responded, n);
         assert_eq!(stats.malformed, 0);
         assert_eq!(stats.shed, 0);
-        let report = stats.audit();
-        assert!(report.is_clean(), "net audit: {report}");
-    }
-
-    #[test]
-    fn auto_transport_round_trip_against_live_server() {
-        // On io_uring-capable hosts this exercises the full serve loop
-        // over the completion-driven transport; elsewhere it degrades to
-        // a second batched-mmsg round trip (the fallback is the point).
-        let caps = crate::uring::probe();
-        println!("server_transport probe: {}", caps.summary());
-        let server = spin_server(1);
-        let srv_sock = UdpSocket::bind("127.0.0.1:0").expect("bind server");
-        let srv_addr = srv_sock.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || serve_auto(server, srv_sock, stop2));
-
-        let client = UdpSocket::bind("127.0.0.1:0").expect("bind client");
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let n = 48u64;
-        for tag in 0..n {
-            let req = encode_request((tag % 2) as u16, Nanos::from_micros(2), tag);
-            client.send_to(&req, srv_addr).unwrap();
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut buf = [0u8; 64];
-        while seen.len() < n as usize {
-            let (len, _) = match client.recv_from(&mut buf) {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                r => r.expect("response"),
-            };
-            let (tag, _, _) = decode_response(&buf[..len]).expect("well-formed");
-            seen.insert(tag);
-        }
-        stop.store(true, Ordering::Release);
-        let stats = handle.join().unwrap().expect("serve ok");
-        assert_eq!(stats.received, n);
-        assert_eq!(stats.responded, n);
-        if caps.available {
-            assert!(
-                stats.transport.rcvbuf_bytes > 0,
-                "achieved socket buffer sizes flow through the uring transport"
-            );
-        }
         let report = stats.audit();
         assert!(report.is_clean(), "net audit: {report}");
     }

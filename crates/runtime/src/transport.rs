@@ -11,7 +11,7 @@
 //! way the dispatcher amortizes its snapshot and ring publishes
 //! (DESIGN.md "Batched dispatch pipeline").
 //!
-//! Two implementations:
+//! One implementation, [`UdpTransport`], in two modes:
 //!
 //! * [`UdpTransport::batched`] — `recvmmsg`/`sendmmsg` on Linux (bound
 //!   via a local `extern "C"` declaration: the build environment vendors
@@ -90,21 +90,18 @@ impl Frame {
 /// and the audit tie frame counts to request counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Receive syscalls that returned at least one frame. For the
-    /// completion-driven io_uring transport this counts *reap passes*
-    /// that yielded a frame — receives there cost no syscall at all
-    /// (see `enter_calls`).
+    /// Receive syscalls that returned at least one frame (`recvmmsg`
+    /// calls when batched, `recv_from` calls per datagram). Empty polls
+    /// are not counted, so `recv_frames / recv_calls` is the achieved
+    /// burst size.
     pub recv_calls: u64,
     /// Frames received.
     pub recv_frames: u64,
-    /// Send syscalls issued (`io_uring_enter` calls that carried send
-    /// SQEs, for the io_uring transport).
+    /// Send syscalls that moved at least one frame (`sendmmsg` calls when
+    /// batched, `send_to` calls per datagram).
     pub send_calls: u64,
     /// Frames sent.
     pub send_frames: u64,
-    /// `io_uring_enter` syscalls issued over the transport's lifetime
-    /// (0 for the mmsg/per-datagram transports — they have no ring).
-    pub enter_calls: u64,
     /// Effective `SO_RCVBUF` as the kernel reports it after any
     /// `rmem_max` clamp (0 = unknown). The kernel clamps silently, so
     /// this is read back at construction rather than assumed.
@@ -147,30 +144,6 @@ pub trait Transport {
 
     /// Lifetime syscall/frame counters.
     fn stats(&self) -> TransportStats;
-}
-
-// Lets `net::server_transport` hand back a probe-selected transport as
-// `Box<dyn Transport + Send>` that still plugs into `serve<T: Transport>`.
-impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn recv_batch(&mut self, out: &mut [Frame]) -> io::Result<usize> {
-        (**self).recv_batch(out)
-    }
-
-    fn send_batch(&mut self, frames: &[Frame]) -> io::Result<()> {
-        (**self).send_batch(frames)
-    }
-
-    fn max_batch(&self) -> usize {
-        (**self).max_batch()
-    }
-
-    fn label(&self) -> &'static str {
-        (**self).label()
-    }
-
-    fn stats(&self) -> TransportStats {
-        (**self).stats()
-    }
 }
 
 // ---------------------------------------------------------------------------

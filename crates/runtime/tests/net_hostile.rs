@@ -1,4 +1,4 @@
-//! Hostile wire-input tests for the batched socket front end.
+//! Hostile wire-input tests for the socket front end.
 //!
 //! The serve loop's contract (see `net.rs` module docs) is that the
 //! *ledger* survives anything a UDP peer can do: duplicate tags,
@@ -9,11 +9,11 @@
 //! job over the socket rather than wedging or dropping it.
 //!
 //! Every test runs a real `TinyQuanta` server on loopback with the
-//! invariant auditor on, once per available wire — the batched
-//! `recvmmsg`/`sendmmsg` transport always, and the io_uring transport
-//! wherever the capability probe validates it (skipped loudly, with the
-//! probe's reason, elsewhere). Timing assertions are avoided (CI hosts
-//! are shared); the assertions are all counting and conservation.
+//! invariant auditor on, once per wire the front end ships — the batched
+//! `recvmmsg`/`sendmmsg` transport, and the per-datagram transport that
+//! `tq-loadgen --transport syscall` and non-Linux targets run. Timing
+//! assertions are avoided (CI hosts are shared); the assertions are all
+//! counting and conservation.
 
 use std::collections::HashSet;
 use std::net::{SocketAddr, UdpSocket};
@@ -23,28 +23,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tq_core::Nanos;
 use tq_runtime::net::{decode_response, encode_request, serve, NetConfig, ServeOutcome};
-use tq_runtime::transport::{set_socket_buffers, Transport, UdpTransport};
-use tq_runtime::uring::{self, IoUringTransport};
+use tq_runtime::transport::{set_socket_buffers, UdpTransport};
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 
 /// Which transport carries a scenario's wire traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wire {
     Batched,
-    Uring,
+    PerDatagram,
 }
 
-/// The wires this host can run; io_uring's absence is loud, never a
-/// silent pass.
-fn wires() -> Vec<Wire> {
-    let caps = uring::probe();
-    if caps.available {
-        vec![Wire::Batched, Wire::Uring]
-    } else {
-        println!("SKIP io_uring wire — probe: {}", caps.reason);
-        vec![Wire::Batched]
-    }
-}
+/// Every wire the front end ships; each scenario runs over all of them.
+const WIRES: [Wire; 2] = [Wire::Batched, Wire::PerDatagram];
 
 struct Served {
     addr: SocketAddr,
@@ -74,10 +64,11 @@ impl Served {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let mut transport: Box<dyn Transport + Send> = match wire {
-                Wire::Batched => Box::new(UdpTransport::batched(socket).expect("transport")),
-                Wire::Uring => Box::new(IoUringTransport::server(socket).expect("uring")),
-            };
+            let mut transport = match wire {
+                Wire::Batched => UdpTransport::batched(socket),
+                Wire::PerDatagram => UdpTransport::per_datagram(socket),
+            }
+            .expect("transport");
             serve(server, &mut transport, &stop2, &net_config)
         });
         Served { addr, stop, handle }
@@ -132,7 +123,7 @@ fn recv_response(sock: &UdpSocket) -> Option<(u64, Nanos, u64)> {
 /// server-assigned `JobId`, never by wire input.
 #[test]
 fn duplicate_tags_are_both_answered() {
-    wires().into_iter().for_each(duplicate_tags_scenario);
+    WIRES.into_iter().for_each(duplicate_tags_scenario);
 }
 
 fn duplicate_tags_scenario(wire: Wire) {
@@ -156,7 +147,7 @@ fn duplicate_tags_scenario(wire: Wire) {
 /// socket, so even identical tags from different peers cannot cross).
 #[test]
 fn interleaved_clients_receive_only_their_own_responses() {
-    wires().into_iter().for_each(interleaved_clients_scenario);
+    WIRES.into_iter().for_each(interleaved_clients_scenario);
 }
 
 fn interleaved_clients_scenario(wire: Wire) {
@@ -190,7 +181,7 @@ fn interleaved_clients_scenario(wire: Wire) {
 /// the responses.
 #[test]
 fn lossy_client_leaves_the_server_ledger_conserved() {
-    wires().into_iter().for_each(lossy_client_scenario);
+    WIRES.into_iter().for_each(lossy_client_scenario);
 }
 
 fn lossy_client_scenario(wire: Wire) {
@@ -220,7 +211,7 @@ fn lossy_client_scenario(wire: Wire) {
 /// contract), and the join must not wedge.
 #[test]
 fn shutdown_while_requests_in_flight_drains_over_the_socket() {
-    wires().into_iter().for_each(shutdown_in_flight_scenario);
+    WIRES.into_iter().for_each(shutdown_in_flight_scenario);
 }
 
 fn shutdown_in_flight_scenario(wire: Wire) {
@@ -265,7 +256,7 @@ fn shutdown_in_flight_scenario(wire: Wire) {
 /// lost: the ledger still balances and the auditor stays clean.
 #[test]
 fn overload_sheds_past_the_in_flight_bound() {
-    wires().into_iter().for_each(overload_shed_scenario);
+    WIRES.into_iter().for_each(overload_shed_scenario);
 }
 
 fn overload_shed_scenario(wire: Wire) {

@@ -1,9 +1,8 @@
 //! Transport conformance suite.
 //!
-//! One shared harness run against every [`Transport`] implementation —
-//! `per_datagram`, `batched`, and each io_uring tier the host's
-//! capability probe validates — so future transports cannot silently
-//! diverge on the contracts the serve loop leans on:
+//! One shared harness run against both [`UdpTransport`] modes —
+//! `per_datagram` and `batched` — so neither can silently diverge on the
+//! contracts the serve loop leans on:
 //!
 //! * **exact-length frames**: a delivered frame's `len` equals the bytes
 //!   the peer actually sent (no padding, no truncation below
@@ -14,105 +13,45 @@
 //!   count exactly the frames the harness saw cross;
 //! * **shutdown drain**: frames accepted by `send_batch` reach the wire
 //!   even when the transport is dropped immediately afterwards.
-//!
-//! io_uring tiers that the probe reports unavailable are skipped
-//! *loudly* (the skip and its reason are printed) rather than silently
-//! passing.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 use tq_runtime::transport::{Frame, Transport, UdpTransport, MAX_BATCH, MAX_FRAME};
-use tq_runtime::uring::{self, IoUringTransport, UringConfig, UringMode};
 
 /// A (transport, peer socket, transport address) triple for one run.
 struct Pair {
-    name: String,
-    transport: Box<dyn Transport + Send>,
+    name: &'static str,
+    transport: UdpTransport,
     peer: UdpSocket,
     addr: SocketAddr,
 }
 
-/// Builds every available transport, each with its own bound socket and
-/// a peer socket to talk to it.
+/// Builds both transport modes, each with its own bound socket and a
+/// peer socket to talk to it.
 fn build_pairs() -> Vec<Pair> {
-    let mut pairs = Vec::new();
-    let caps = uring::probe();
-    println!("conformance probe: {}", caps.summary());
-
-    let fresh = || {
-        let s = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let addr = s.local_addr().unwrap();
-        (s, addr)
-    };
-    let peer = || {
-        let s = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s
-    };
-
-    {
-        let (s, addr) = fresh();
-        pairs.push(Pair {
-            name: "per_datagram".into(),
-            transport: Box::new(UdpTransport::per_datagram(s).expect("per_datagram")),
-            peer: peer(),
-            addr,
-        });
-    }
-    {
-        let (s, addr) = fresh();
-        pairs.push(Pair {
-            name: "batched".into(),
-            transport: Box::new(UdpTransport::batched(s).expect("batched")),
-            peer: peer(),
-            addr,
-        });
-    }
-    if caps.available {
-        let (s, addr) = fresh();
-        pairs.push(Pair {
-            name: "uring:recvmsg".into(),
-            transport: Box::new(
-                IoUringTransport::server_with(
-                    s,
-                    UringConfig {
-                        mode: UringMode::Oneshot,
-                        ..UringConfig::default()
-                    },
-                )
-                .expect("probe said oneshot works"),
-            ),
-            peer: peer(),
-            addr,
-        });
-        if caps.multishot {
-            let (s, addr) = fresh();
-            pairs.push(Pair {
-                name: "uring:multishot".into(),
-                transport: Box::new(
-                    IoUringTransport::server_with(
-                        s,
-                        UringConfig {
-                            mode: UringMode::Multishot,
-                            ..UringConfig::default()
-                        },
-                    )
-                    .expect("probe said multishot works"),
-                ),
-                peer: peer(),
+    ["per_datagram", "batched"]
+        .into_iter()
+        .map(|name| {
+            let s = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            let addr = s.local_addr().unwrap();
+            let transport = match name {
+                "per_datagram" => UdpTransport::per_datagram(s),
+                _ => UdpTransport::batched(s),
+            };
+            let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+            peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            Pair {
+                name,
+                transport: transport.expect(name),
+                peer,
                 addr,
-            });
-        } else {
-            println!("SKIP uring:multishot — probe: {}", caps.reason);
-        }
-    } else {
-        println!("SKIP io_uring tiers — probe: {}", caps.reason);
-    }
-    pairs
+            }
+        })
+        .collect()
 }
 
 /// Polls `recv_batch` until `want` frames arrive or the deadline passes.
-fn recv_all(t: &mut dyn Transport, want: usize) -> Vec<Frame> {
+fn recv_all(t: &mut UdpTransport, want: usize) -> Vec<Frame> {
     let mut got = Vec::new();
     let mut scratch = vec![Frame::empty(); MAX_BATCH];
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -142,7 +81,7 @@ fn frames_arrive_with_exact_lengths_and_payloads() {
             let payload: Vec<u8> = (0..len).map(|i| (len ^ i) as u8).collect();
             peer.send_to(&payload, addr).expect("peer send");
         }
-        let frames = recv_all(transport.as_mut(), MAX_FRAME);
+        let frames = recv_all(&mut transport, MAX_FRAME);
         let mut seen = [false; MAX_FRAME + 1];
         for f in &frames {
             let len = f.len as usize;
@@ -201,7 +140,7 @@ fn stats_counters_agree_with_frames_moved() {
         for i in 0..IN {
             peer.send_to(&[i as u8; 8], addr).expect("peer send");
         }
-        let frames = recv_all(transport.as_mut(), IN);
+        let frames = recv_all(&mut transport, IN);
         assert_eq!(frames.len(), IN, "[{name}]");
 
         let out: Vec<Frame> = (0..OUT)
