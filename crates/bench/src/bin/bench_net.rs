@@ -13,11 +13,11 @@
 //! outstanding, so the socket pipeline (not the arrival pacing, and not
 //! worker service time) is the bottleneck being measured. The gated
 //! number is wall nanoseconds per completed request. Both arms run the
-//! shipped [`serve`] loop and differ only in the transport, on both
-//! sides of the wire: `per_datagram` uses [`UdpTransport::per_datagram`]
-//! (one `recv_from`/`send_to` syscall per frame, bursts of one), and
-//! `batched` uses [`UdpTransport::batched`] (up to 64 frames per
-//! `recvmmsg`/`sendmmsg`).
+//! shipped `serve` loop, started by [`NetServer`], and differ only in the
+//! [`Wire`], on both sides: `per_datagram` uses
+//! `UdpTransport::per_datagram` (one `recv_from`/`send_to` syscall per
+//! frame, bursts of one), and `batched` uses `UdpTransport::batched` (up
+//! to 64 frames per `recvmmsg`/`sendmmsg`).
 //!
 //! `--throughput` measures both arms (best of trials, criterion-style
 //! minimum) and writes `BENCH_net.json` (schema `tq-bench-net/v1`) at
@@ -40,13 +40,12 @@
 //! (default 2), `TQ_SEED`, `TQ_AUDIT`.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tq_core::Nanos;
-use tq_runtime::net::{decode_response, encode_request, serve, NetConfig, NetStats, ServeOutcome};
-use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH};
-use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
+use tq_harness::{NetJob, NetServer, Wire};
+use tq_runtime::net::{decode_response, encode_request, NetConfig, NetStats, ServeOutcome};
+use tq_runtime::transport::{Frame, Transport, MAX_BATCH};
+use tq_runtime::{ServerConfig, TscClock};
 
 /// `--check` fails when a gated arm's ns/request rises above
 /// `committed / NET_CHECK_TOLERANCE` (a >2.5x regression). Same
@@ -54,32 +53,12 @@ use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 /// the gate exists to catch a lost batch path, not drift.
 const NET_CHECK_TOLERANCE: f64 = 0.4;
 
-/// The measurable arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arm {
-    PerDatagram,
-    Batched,
-}
-
-impl Arm {
-    fn name(self) -> &'static str {
-        match self {
-            Arm::PerDatagram => "per_datagram",
-            Arm::Batched => "batched",
-        }
+/// An arm's name, its key in `BENCH_net.json`.
+fn arm_name(arm: Wire) -> &'static str {
+    match arm {
+        Wire::PerDatagram => "per_datagram",
+        Wire::Batched => "batched",
     }
-}
-
-fn audit_enabled() -> bool {
-    std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
 }
 
 /// One arm's measurement (best trial kept).
@@ -135,23 +114,11 @@ impl NetMeasure {
     }
 }
 
-/// The transport for one side of an arm's wire: one frame per syscall
-/// for `per_datagram`, mmsg batching for `batched`. Client and server
-/// always ride the same mode, so the arms differ only in the transport.
-fn make_transport(arm: Arm, socket: UdpSocket) -> UdpTransport {
-    set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
-    match arm {
-        Arm::PerDatagram => UdpTransport::per_datagram(socket),
-        Arm::Batched => UdpTransport::batched(socket),
-    }
-    .expect("transport")
-}
-
 /// One windowed flood over a freshly started server; returns the trial's
 /// wall time and both sides' counters. Panics on loss, stall, or audit
 /// violation — a throughput baseline over loopback must conserve.
 fn run_trial(
-    arm: Arm,
+    arm: Wire,
     n: u64,
     window: usize,
     workers: usize,
@@ -166,26 +133,18 @@ fn run_trial(
         audit,
         ..ServerConfig::default()
     };
-    let job_clock = clock.clone();
-    let server = TinyQuanta::start_with_clock(config, clock.clone(), move |req| {
-        Box::new(SpinJob::with_clock(req, &job_clock))
-    });
-    let srv_socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
-    let srv_addr: SocketAddr = srv_socket.local_addr().unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let serve_thread = {
-        let stop = Arc::clone(&stop);
-        let net_config = NetConfig {
-            max_in_flight: (2 * window).max(1024),
-            ..NetConfig::default()
-        };
-        std::thread::spawn(move || {
-            let mut t = make_transport(arm, srv_socket);
-            serve(server, &mut t, &stop, &net_config)
-        })
+    let net_config = NetConfig {
+        max_in_flight: (2 * window).max(1024),
+        ..NetConfig::default()
     };
+    let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+    let server = NetServer::spawn(config, NetJob::Spin, arm, loopback, clock, net_config)
+        .expect("start serve loop");
+    let srv_addr = server.addr();
 
-    let mut transport = make_transport(arm, UdpSocket::bind("127.0.0.1:0").expect("bind client"));
+    let mut transport = arm
+        .open(UdpSocket::bind(loopback).expect("bind client"))
+        .expect("client transport");
     let mut rx = vec![Frame::empty(); transport.max_batch()];
     let mut tx: Vec<Frame> = Vec::with_capacity(MAX_BATCH);
     let mut next = 0u64; // next tag to send
@@ -222,8 +181,7 @@ fn run_trial(
         }
     }
     let wall_nanos = started.elapsed().as_nanos() as u64;
-    stop.store(true, Ordering::Release);
-    let outcome = serve_thread.join().expect("serve thread").expect("serve ok");
+    let outcome = server.stop().expect("serve ok");
     assert_eq!(outcome.net.responded, n, "flood must conserve datagrams");
     assert_eq!(outcome.net.shed, 0, "window below the in-flight bound never sheds");
     if audit {
@@ -240,7 +198,7 @@ fn run_trial(
 /// Best (lowest ns/request) of `trials` floods for one arm.
 #[allow(clippy::too_many_arguments)]
 fn measure(
-    arm: Arm,
+    arm: Wire,
     n: u64,
     window: usize,
     workers: usize,
@@ -254,7 +212,7 @@ fn measure(
         let (wall_nanos, send_calls, recv_calls, outcome) =
             run_trial(arm, n, window, workers, audit, seed, clock);
         let m = NetMeasure {
-            arm: arm.name(),
+            arm: arm_name(arm),
             requests: n,
             window,
             trials: trials.max(1),
@@ -284,18 +242,6 @@ fn print_measure(m: &NetMeasure) {
     );
 }
 
-/// Extracts `"ns_per_request": <number>` for the given arm from a
-/// committed `BENCH_net.json` (string-search parsing, as everywhere: the
-/// vendored dependency set has no JSON parser).
-fn baseline_ns_per_request(json: &str, arm: &str) -> Option<f64> {
-    let at = json.find(&format!("\"arm\": \"{arm}\""))?;
-    let rest = &json[at..];
-    let key = "\"ns_per_request\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}', '\n'])?;
-    v[..end].trim().parse().ok()
-}
-
 fn run_throughput(n: u64, window: usize, workers: usize, audit: bool, seed: u64) -> ! {
     let trials = 3;
     println!(
@@ -305,9 +251,9 @@ fn run_throughput(n: u64, window: usize, workers: usize, audit: bool, seed: u64)
     );
     println!();
     let clock = TscClock::calibrated();
-    let per_datagram = measure(Arm::PerDatagram, n, window, workers, trials, audit, seed, &clock);
+    let per_datagram = measure(Wire::PerDatagram, n, window, workers, trials, audit, seed, &clock);
     print_measure(&per_datagram);
-    let batched = measure(Arm::Batched, n, window, workers, trials, audit, seed, &clock);
+    let batched = measure(Wire::Batched, n, window, workers, trials, audit, seed, &clock);
     print_measure(&batched);
     let speedup = per_datagram.ns_per_request() / batched.ns_per_request();
     println!();
@@ -354,10 +300,10 @@ fn run_check(n: u64, window: usize, workers: usize, audit: bool, seed: u64) -> !
     println!();
     let committed = std::fs::read_to_string("BENCH_net.json")
         .expect("--check needs a committed BENCH_net.json");
-    let baseline = baseline_ns_per_request(&committed, "batched")
+    let baseline = tq_bench::baseline_number(&committed, "batched", "ns_per_request")
         .expect("BENCH_net.json has no batched ns_per_request");
     let clock = TscClock::calibrated();
-    let batched = measure(Arm::Batched, n, window, workers, trials, audit, seed, &clock);
+    let batched = measure(Wire::Batched, n, window, workers, trials, audit, seed, &clock);
     print_measure(&batched);
     let current = batched.ns_per_request();
     // ns/request is a cost: a ratio below 1.0 means slower than committed.
@@ -393,16 +339,16 @@ fn main() {
             }
         }
     }
-    let workers = env_u64("TQ_RT_WORKERS", 2) as usize;
-    let window = env_u64("TQ_NET_WINDOW", 256) as usize;
-    let audit = audit_enabled();
+    let workers = tq_bench::env_positive("TQ_RT_WORKERS", 2) as usize;
+    let window = tq_bench::env_positive("TQ_NET_WINDOW", 256) as usize;
+    let audit = tq_bench::audit_enabled();
     let seed = tq_bench::seed();
     if mode_check {
-        let n = env_u64("TQ_NET_REQUESTS", 12_000);
+        let n = tq_bench::env_positive("TQ_NET_REQUESTS", 12_000);
         run_check(n, window, workers, audit, seed);
     }
     if mode_throughput {
-        let n = env_u64("TQ_NET_REQUESTS", 48_000);
+        let n = tq_bench::env_positive("TQ_NET_REQUESTS", 48_000);
         run_throughput(n, window, workers, audit, seed);
     }
     eprintln!("pick a mode: --throughput (write BENCH_net.json) or --check (gate against it)");

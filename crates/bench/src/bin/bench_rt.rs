@@ -151,21 +151,6 @@ fn parse_args() -> Args {
     parsed
 }
 
-fn audit_enabled() -> bool {
-    std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
-}
-
-/// Worker count (`TQ_RT_WORKERS` overrides). The experiment modes
-/// default to 2; the throughput modes to 4, where the per-burst load
-/// snapshot (one read per worker) has more to amortize.
-fn rt_workers(default: usize) -> usize {
-    std::env::var("TQ_RT_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 fn rt_horizon(smoke: bool) -> Nanos {
     let default_ms = if smoke { 40 } else { 80 };
     let ms = std::env::var("TQ_RT_MILLIS")
@@ -204,38 +189,11 @@ fn check_record(r: &RunRecord, completions_ids: &[u64]) -> Vec<String> {
 /// Runs one spec through `engine`, prints its headline and per-worker
 /// counters, and returns the record plus any invariant violations.
 fn run_and_report(engine: &mut dyn Engine, spec: &RunSpec, load: f64) -> (RunRecord, Vec<String>) {
-    // Re-run the engine output through the harness to keep the ids for
-    // the duplication check (run_to_record consumes the completions).
-    let mut out = engine.run(spec, spec.arrivals(), spec.horizon);
+    // Keep the ids for the duplication check before the record builder
+    // consumes the completions.
+    let out = engine.run(spec, spec.arrivals(), spec.horizon);
     let ids: Vec<u64> = out.completions.iter().map(|c| c.id.0).collect();
-    let completed = out.completions.len() as u64;
-    let audit = out.audit.take();
-    let controller = out.controller.take();
-    let summary = tq_harness::summarize(&mut out.completions);
-    let record = RunRecord {
-        engine: engine.kind().as_str(),
-        model: engine.model(),
-        system: engine.system(),
-        workload: spec.workload.name().to_string(),
-        process: spec.process.name(),
-        workers: engine.workers(),
-        rate_rps: spec.rate_rps,
-        horizon: spec.horizon,
-        seed: spec.seed,
-        submitted: out.submitted,
-        completed,
-        in_horizon: out.in_horizon,
-        achieved_rps: out.in_horizon as f64 / spec.horizon.as_secs_f64(),
-        classes: summary.classes_e2e,
-        classes_sojourn: summary.classes_sojourn,
-        overall_slowdown_p999: summary.overall_slowdown_p999,
-        counters: out.counters,
-        policy: engine.policy_meta(),
-        audit,
-        rack: engine.take_rack_meta(),
-        net: None,
-        controller,
-    };
+    let record = tq_harness::record_from(engine, spec, out);
     let mut violations = check_record(&record, &ids);
     if let Some(report) = &record.audit {
         for v in &report.violations {
@@ -441,31 +399,9 @@ fn print_measure(m: &DispatchMeasure) {
     );
 }
 
-/// Requests per throughput trial (`TQ_RT_REQUESTS` overrides).
-fn throughput_requests(quick: bool) -> u64 {
-    std::env::var("TQ_RT_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if quick { 24_000 } else { 96_000 })
-}
-
-/// Extracts `"ns_per_request": <number>` for the pipeline labeled
-/// `pipeline` from a committed `BENCH_rt.json` (same string-search
-/// parsing as `bench_sim`, for the same reason: no JSON parser in the
-/// vendored dependency set).
-fn baseline_ns_per_request(json: &str, pipeline: &str) -> Option<f64> {
-    let at = json.find(&format!("\"pipeline\": \"{pipeline}\""))?;
-    let rest = &json[at..];
-    let key = "\"ns_per_request\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}', '\n'])?;
-    v[..end].trim().parse().ok()
-}
-
 /// `--throughput`: measure both pipelines, write `BENCH_rt.json`.
 fn run_throughput(workers: usize, audit: bool, seed: u64) -> ! {
-    let n = throughput_requests(false);
+    let n = tq_bench::env_positive("TQ_RT_REQUESTS", 96_000);
     let trials = 3;
     println!(
         "bench_rt (throughput): {workers} workers, {n} requests/trial, best of {trials}, \
@@ -515,7 +451,7 @@ fn run_throughput(workers: usize, audit: bool, seed: u64) -> ! {
 
 /// `--check`: gate the batched pipeline against the committed baseline.
 fn run_check(workers: usize, audit: bool, seed: u64) -> ! {
-    let n = throughput_requests(true);
+    let n = tq_bench::env_positive("TQ_RT_REQUESTS", 24_000);
     let trials = 2;
     println!(
         "bench_rt (check): {workers} workers, {n} requests/trial, best of {trials}, \
@@ -525,7 +461,7 @@ fn run_check(workers: usize, audit: bool, seed: u64) -> ! {
     println!();
     let committed =
         std::fs::read_to_string("BENCH_rt.json").expect("--check needs a committed BENCH_rt.json");
-    let baseline = baseline_ns_per_request(&committed, "batched")
+    let baseline = tq_bench::baseline_number(&committed, "batched", "ns_per_request")
         .expect("BENCH_rt.json has no batched ns_per_request");
     let clock = TscClock::calibrated();
     let batched = measure_dispatch(&clock, workers, n, trials, audit, seed, false);
@@ -555,7 +491,7 @@ fn run_check(workers: usize, audit: bool, seed: u64) -> ! {
 fn main() {
     let args = parse_args();
     let (choice, smoke) = (args.engine, args.smoke);
-    let audit = audit_enabled();
+    let audit = tq_bench::audit_enabled();
     if (args.policy.is_some() || args.workload.is_some() || args.adaptive)
         && args.mode != Mode::Experiment
     {
@@ -565,12 +501,16 @@ fn main() {
         );
         std::process::exit(2);
     }
+    // Worker count (`TQ_RT_WORKERS` overrides): 4 in the throughput
+    // modes, where the per-burst load snapshot (one read per worker) has
+    // more to amortize, 2 in the experiment modes.
+    let workers_or = |default| tq_bench::env_positive("TQ_RT_WORKERS", default) as usize;
     match args.mode {
-        Mode::Throughput => run_throughput(rt_workers(4), audit, tq_bench::seed()),
-        Mode::Check => run_check(rt_workers(4), audit, tq_bench::seed()),
+        Mode::Throughput => run_throughput(workers_or(4), audit, tq_bench::seed()),
+        Mode::Check => run_check(workers_or(4), audit, tq_bench::seed()),
         Mode::Experiment => {}
     }
-    let workers = rt_workers(2);
+    let workers = workers_or(2);
     let horizon = rt_horizon(smoke);
     let seed = tq_bench::seed();
     // Default: the bimodal sweep at conservative loads (the live workers

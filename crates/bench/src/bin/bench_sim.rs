@@ -413,18 +413,6 @@ fn measure_summarize(n: usize, reps: usize) -> SummarizeMeasure {
     }
 }
 
-/// Extracts `"events_per_sec": <number>` from the sweep object labeled
-/// `label` in a committed `BENCH_sim.json` (v1 or v2 — the field order
-/// puts the sweep total before any `per_model` entries).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{label}\""))?;
-    let rest = &json[at..];
-    let key = "\"events_per_sec\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}', '\n'])?;
-    v[..end].trim().parse().ok()
-}
-
 fn main() {
     let mut quick = false;
     let mut check = false;
@@ -577,7 +565,7 @@ fn main() {
     if check {
         let committed = std::fs::read_to_string("BENCH_sim.json")
             .expect("--check needs a committed BENCH_sim.json");
-        let baseline = baseline_events_per_sec(&committed, "sweep_serial")
+        let baseline = tq_bench::baseline_number(&committed, "sweep_serial", "events_per_sec")
             .expect("BENCH_sim.json has no sweep_serial events_per_sec");
         let current = serial.events_per_sec();
         let ratio = current / baseline;
@@ -614,7 +602,7 @@ fn main() {
             sharded.threads,
             sharded.windows,
         );
-        match baseline_events_per_sec(&committed, "rack_sharded") {
+        match tq_bench::baseline_number(&committed, "rack_sharded", "events_per_sec") {
             Some(rack_baseline) => {
                 let ratio = sharded.events_per_sec() / rack_baseline;
                 println!(

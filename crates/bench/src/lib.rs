@@ -32,6 +32,32 @@ pub fn seed() -> u64 {
         .unwrap_or(42)
 }
 
+/// Whether the invariant auditor runs (`TQ_AUDIT`; on unless set to `0`).
+pub fn audit_enabled() -> bool {
+    std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
+}
+
+/// The positive integer in env var `name`, or `default` when it is unset,
+/// unparsable, or zero.
+pub fn env_positive(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// Reads `"key": <number>` from the first JSON object at or after the
+/// quoted string `label` in a committed `BENCH_*.json` baseline — string
+/// search, because the vendored dependency set has no JSON parser.
+pub fn baseline_number(json: &str, label: &str, key: &str) -> Option<f64> {
+    let rest = &json[json.find(&format!("\"{label}\""))?..];
+    let key = format!("\"{key}\": ");
+    let v = &rest[rest.find(&key)? + key.len()..];
+    let end = v.find([',', '}', '\n'])?;
+    v[..end].trim().parse().ok()
+}
+
 /// Physical parallelism actually available on this host — recorded in
 /// the committed baselines so a gate failure can be read against how
 /// much parallelism the measuring host really had.
@@ -213,6 +239,20 @@ mod tests {
         let wl = table1::exp1();
         let rates = rate_grid(&wl, 16, &[0.5, 1.0]);
         assert!((rates[1] / rates[0] - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn baseline_number_reads_every_committed_baseline() {
+        let sim = include_str!("../../../BENCH_sim.json");
+        assert_eq!(baseline_number(sim, "sweep_serial", "events_per_sec"), Some(14429569.0));
+        assert_eq!(baseline_number(sim, "rack_sharded", "events_per_sec"), Some(9830790.0));
+        let rt = include_str!("../../../BENCH_rt.json");
+        assert_eq!(baseline_number(rt, "batched", "ns_per_request"), Some(38.76));
+        assert_eq!(baseline_number(rt, "per_item", "ns_per_request"), Some(94.97));
+        let net = include_str!("../../../BENCH_net.json");
+        assert_eq!(baseline_number(net, "batched", "ns_per_request"), Some(5552.71));
+        assert_eq!(baseline_number(net, "per_datagram", "ns_per_request"), Some(6842.53));
+        assert_eq!(baseline_number(net, "io_uring", "ns_per_request"), None);
     }
 
     #[test]

@@ -122,16 +122,12 @@ impl PolicyRng {
 ///
 /// The default hooks make a policy a pure rank function; override
 /// [`sample_full`]/[`sample_list`] to restrict the candidate set first
-/// (power-of-d probing) and [`on_pick`] to advance cursors. [`admit`] is
-/// the admission/shed hook: returning `false` tells the caller to shed
-/// the request instead of queueing it (no built-in policy sheds; the hook
-/// exists so overload policies can, without another trait).
+/// (power-of-d probing) and [`on_pick`] to advance cursors.
 ///
 /// [`tie_break`]: RankPolicy::tie_break
 /// [`sample_full`]: RankPolicy::sample_full
 /// [`sample_list`]: RankPolicy::sample_list
 /// [`on_pick`]: RankPolicy::on_pick
-/// [`admit`]: RankPolicy::admit
 pub trait RankPolicy {
     /// The candidate's rank; the dispatcher picks the minimum. Must be
     /// cheap — it runs once per candidate per decision.
@@ -156,12 +152,6 @@ pub trait RankPolicy {
 
     /// Observes the decision (cursor advancement for round-robin).
     fn on_pick(&mut self, _picked: usize, _n_workers: usize) {}
-
-    /// Admission hook: `false` means shed this request instead of
-    /// dispatching it. Defaults to admitting everything.
-    fn admit(&self, _view: &PolicyView) -> bool {
-        true
-    }
 }
 
 /// Read access to per-worker load counters, abstracting over the

@@ -6,10 +6,11 @@
 //! ([`crate::SimEngine`]) interpret arrival times as *virtual* time; the
 //! live runtime ([`crate::RtEngine`]) paces the same stream against the
 //! wall clock and normalizes its `TscClock` timestamps back onto the
-//! stream's time base. Either way the output feeds the identical
-//! `ClassRecorder::summarize_all` pipeline via [`run_to_record`], so a
-//! policy change can be evaluated in both worlds with one command (see
-//! DESIGN.md "The Engine abstraction").
+//! stream's time base; the socket engine ([`crate::NetEngine`]) paces it
+//! over loopback UDP and reports client-observed round trips. Every
+//! output feeds the identical `ClassRecorder::summarize_all` pipeline via
+//! [`run_to_record`], so a policy change can be evaluated in every world
+//! with one command (see DESIGN.md "The Engine abstraction").
 
 use tq_audit::AuditReport;
 use tq_core::adaptive::ControllerReport;
@@ -145,6 +146,9 @@ pub struct RunOutput {
     /// Adaptive-quantum controller report, present iff the engine ran
     /// with a [`tq_core::adaptive::QuantumController`] active.
     pub controller: Option<ControllerReport>,
+    /// Socket-tier metadata, present iff the run went over the wire
+    /// ([`crate::NetEngine`]).
+    pub net: Option<NetMeta>,
 }
 
 /// One server's share of a rack run (see [`RackMeta`]).
@@ -240,7 +244,7 @@ impl PolicyMeta {
 }
 
 /// Socket-tier metadata attached to a [`RunRecord`] when the run was
-/// driven over the wire (tq-loadgen → UDP front end): the client-observed
+/// driven over the wire ([`crate::NetEngine`]): the client-observed
 /// round-trip tail and both sides' datagram ledgers. `None` when the run
 /// was in-process. The latency percentiles here are *client* clock
 /// measurements over loopback — they include the kernel network stack and
@@ -393,10 +397,15 @@ impl RunRecord {
 /// exact pipeline `run_once` uses: `ClassRecorder::summarize_all` with
 /// the repo-standard warm-up fraction and network RTT.
 pub fn run_to_record(engine: &mut dyn Engine, spec: &RunSpec) -> RunRecord {
-    let mut out = engine.run(spec, spec.arrivals(), spec.horizon);
+    let out = engine.run(spec, spec.arrivals(), spec.horizon);
+    record_from(engine, spec, out)
+}
+
+/// The record builder behind [`run_to_record`], for callers that inspect
+/// the raw [`RunOutput`] (completion ids, say) before it is summarized.
+/// `out` must come from `engine.run(spec, …)`.
+pub fn record_from(engine: &mut dyn Engine, spec: &RunSpec, mut out: RunOutput) -> RunRecord {
     let completed = out.completions.len() as u64;
-    let audit = out.audit.take();
-    let controller = out.controller.take();
     let summary = summarize(&mut out.completions);
     RunRecord {
         engine: engine.kind().as_str(),
@@ -416,11 +425,11 @@ pub fn run_to_record(engine: &mut dyn Engine, spec: &RunSpec) -> RunRecord {
         classes_sojourn: summary.classes_sojourn,
         overall_slowdown_p999: summary.overall_slowdown_p999,
         counters: out.counters,
-        audit,
+        audit: out.audit,
         rack: engine.take_rack_meta(),
-        net: None,
+        net: out.net,
         policy: engine.policy_meta(),
-        controller,
+        controller: out.controller,
     }
 }
 

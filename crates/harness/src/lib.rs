@@ -17,11 +17,15 @@
 //!   pacing loop that replays the open-loop Poisson stream in real time
 //!   and normalizes `TscClock` timestamps back onto the stream's time
 //!   base.
+//! * [`NetEngine`] — the same server behind the UDP front end
+//!   (`tq_runtime::net::serve`), fed by paced open-loop clients over
+//!   loopback; its completions are client-observed round trips.
 //!
-//! Both produce a [`RunOutput`] whose completions flow through the
-//! identical `ClassRecorder::summarize_all` metrics path
+//! Every engine produces a [`RunOutput`] whose completions flow through
+//! the identical `ClassRecorder::summarize_all` metrics path
 //! ([`run_to_record`]) and serialize to the same `tq-run/v1` JSON schema
-//! ([`json`]), distinguished only by the `engine` field. See DESIGN.md
+//! ([`json`]), distinguished only by the `engine` field and the optional
+//! `rack`/`net` blocks. See DESIGN.md
 //! ("The Engine abstraction") for the real-time vs virtual-time
 //! measurement contract.
 //!
@@ -50,14 +54,16 @@
 
 pub mod engine;
 pub mod json;
+pub mod net;
 pub mod rack;
 pub mod rt;
 pub mod sim;
 
 pub use engine::{
-    run_to_record, summarize, ClientRtt, Engine, EngineCounters, EngineKind, NetMeta, PolicyMeta,
+    record_from, run_to_record, summarize, ClientRtt, Engine, EngineCounters, EngineKind, NetMeta, PolicyMeta,
     RackMeta, RackServerMeta, RunOutput, RunRecord, RunSpec, WorkerCounters,
 };
+pub use net::{NetEngine, NetJob, NetServer, Wire};
 pub use rack::RackEngine;
 pub use rt::{Pacer, RtEngine};
 pub use sim::SimEngine;

@@ -191,6 +191,7 @@ impl Engine for RackEngine {
             // report stands in for the rack (the per-server breakdown
             // stays in the engine stats).
             controller: stats.per_server.first().and_then(|s| s.controller),
+            net: None,
         }
     }
 

@@ -30,7 +30,7 @@ use tq_audit::{CompletionFact, InvariantAuditor};
 use tq_core::adaptive::{ControllerConfig, QuantumController};
 use tq_core::job::Completion;
 use tq_core::Nanos;
-use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
+use tq_runtime::{ServerConfig, ServerStats, SpinJob, TinyQuanta, TscClock};
 use tq_workloads::ArrivalGen;
 
 /// Gaps longer than this are mostly slept through (OS timer); the rest
@@ -45,8 +45,8 @@ const SLEEP_MARGIN_NANOS: u64 = 100_000;
 /// re-timing — a pacer that falls behind releases immediately, so
 /// overload backlogs build up exactly as the paper's client would cause.
 ///
-/// Extracted from [`RtEngine::run`]'s inline loop so the socket load
-/// generator (`tq-loadgen`) paces with the identical discipline; see
+/// Extracted from [`RtEngine::run`]'s inline loop so the socket clients
+/// of [`crate::NetEngine`] pace with the identical discipline; see
 /// [`Pacer::wait_until_with`] for the receive-while-pacing variant it
 /// needs.
 #[derive(Debug, Clone)]
@@ -310,26 +310,35 @@ impl Engine for RtEngine {
             completions,
             submitted,
             in_horizon,
-            counters: EngineCounters {
-                sim_events: 0,
-                dispatcher_forwarded: stats.dispatcher.forwarded,
-                ring_full_retries: stats.dispatcher.ring_full_retries,
-                dispatcher_dropped: stats.dispatcher.dropped_on_abort,
-                dispatch_bursts: stats.dispatcher.bursts,
-                dispatch_busy_nanos: stats.dispatcher.busy_nanos,
-                workers: stats
-                    .workers
-                    .iter()
-                    .map(|w| WorkerCounters {
-                        quanta: w.quanta,
-                        completed: w.completed,
-                        steals: w.steals,
-                        max_ring_occupancy: w.max_ring_occupancy,
-                    })
-                    .collect(),
-            },
+            counters: EngineCounters::from(&stats),
             audit,
             controller: ctl.as_ref().map(QuantumController::report),
+            net: None,
+        }
+    }
+}
+
+impl From<&ServerStats> for EngineCounters {
+    /// The live server's dispatcher and per-worker counters (no event
+    /// queue, so `sim_events` is 0).
+    fn from(stats: &ServerStats) -> Self {
+        EngineCounters {
+            sim_events: 0,
+            dispatcher_forwarded: stats.dispatcher.forwarded,
+            ring_full_retries: stats.dispatcher.ring_full_retries,
+            dispatcher_dropped: stats.dispatcher.dropped_on_abort,
+            dispatch_bursts: stats.dispatcher.bursts,
+            dispatch_busy_nanos: stats.dispatcher.busy_nanos,
+            workers: stats
+                .workers
+                .iter()
+                .map(|w| WorkerCounters {
+                    quanta: w.quanta,
+                    completed: w.completed,
+                    steals: w.steals,
+                    max_ring_occupancy: w.max_ring_occupancy,
+                })
+                .collect(),
         }
     }
 }

@@ -165,6 +165,7 @@ impl Engine for SimEngine {
             completions,
             audit,
             controller,
+            net: None,
         }
     }
 }

@@ -10,12 +10,15 @@
 //!    matrix × work-stealing × 2–4 workers, every submitted `JobId`
 //!    completes exactly once, and the per-worker counters reconcile
 //!    with the completion stream.
-//! 3. **Shared schema** — both engines emit through one JSON path; the
-//!    `engine` field is the only structural difference.
+//! 3. **Shared schema** — sim, rt and socket engines emit through one
+//!    JSON path; the `engine` field and the socket run's `net` block are
+//!    the only structural differences.
 
 use tq_core::policy::{DispatchPolicy, TieBreak};
 use tq_core::Nanos;
-use tq_harness::{json, run_to_record, Engine, RtEngine, RunSpec, SimEngine};
+use tq_harness::{
+    json, run_to_record, Engine, NetEngine, NetJob, RtEngine, RunSpec, SimEngine, Wire,
+};
 use tq_queueing::{presets, run_once};
 use tq_runtime::ServerConfig;
 use tq_workloads::{table1, ArrivalProcess};
@@ -185,35 +188,54 @@ fn rt_record_summarizes_through_shared_pipeline() {
     assert!(record.counters.workers.iter().map(|w| w.quanta).sum::<u64>() > 0);
 }
 
-/// Both engines serialize through one code path into the same schema.
+/// A quoted string directly followed by a colon is a key; string
+/// *values* never are.
+fn keys(obj: &str) -> std::collections::BTreeSet<String> {
+    let parts: Vec<&str> = obj.split('"').collect();
+    (1..parts.len())
+        .step_by(2)
+        .filter(|&i| {
+            parts
+                .get(i + 1)
+                .is_some_and(|rest| rest.trim_start().starts_with(':'))
+        })
+        .map(|i| parts[i].to_string())
+        .collect()
+}
+
+/// A record's JSON with the `net` line (key and value) removed.
+fn without_net(record: &str) -> String {
+    let at = record.find("\"net\": ").expect("net key");
+    let end = at + record[at..].find('\n').expect("net line ends");
+    format!("{}{}", &record[..at], &record[end..])
+}
+
+fn audited_server(workers: usize) -> ServerConfig {
+    ServerConfig {
+        workers,
+        quantum: Nanos::from_micros(5),
+        audit: true,
+        ..ServerConfig::default()
+    }
+}
+
+/// Sim, rt and socket engines serialize through one code path into the
+/// same schema.
 #[test]
 fn sim_and_rt_share_one_json_schema() {
     let s = spec(2, 0.2, 5, 42);
-    let mut sim = SimEngine::new(presets::tq(2, Nanos::from_micros(5)));
-    let mut rt = RtEngine::new(ServerConfig {
-        workers: 2,
-        quantum: Nanos::from_micros(5),
-        ..ServerConfig::default()
-    });
-    let records = [run_to_record(&mut sim, &s), run_to_record(&mut rt, &s)];
+    let mut sim = SimEngine::new(presets::tq(2, Nanos::from_micros(5))).with_audit(true);
+    let mut rt = RtEngine::new(audited_server(2));
+    let mut net = NetEngine::new(audited_server(2), NetJob::Spin, Wire::Batched);
+    let records = [
+        run_to_record(&mut sim, &s),
+        run_to_record(&mut rt, &s),
+        run_to_record(&mut net, &s),
+    ];
     let doc = json::document(&records);
     assert!(doc.contains("\"schema\": \"tq-run/v1\""));
     assert!(doc.contains("\"engine\": \"sim\""));
     assert!(doc.contains("\"engine\": \"rt\""));
-    // Same keys in both records: a quoted string directly followed by a
-    // colon is a key; string *values* never are.
-    let keys = |obj: &str| -> std::collections::BTreeSet<String> {
-        let parts: Vec<&str> = obj.split('"').collect();
-        (1..parts.len())
-            .step_by(2)
-            .filter(|&i| {
-                parts
-                    .get(i + 1)
-                    .is_some_and(|rest| rest.trim_start().starts_with(':'))
-            })
-            .map(|i| parts[i].to_string())
-            .collect()
-    };
     let sim_json = json::record_json(&records[0]);
     let rt_json = json::record_json(&records[1]);
     assert_eq!(
@@ -221,4 +243,34 @@ fn sim_and_rt_share_one_json_schema() {
         keys(&rt_json),
         "sim and rt JSON expose different keys"
     );
+
+    let net_record = &records[2];
+    assert!(net_record.conserved(), "socket run lost requests");
+    let audit = net_record.audit.as_ref().expect("audited socket run");
+    assert!(audit.is_clean(), "socket audit: {audit}");
+    assert!(net_record.net.is_some(), "socket record without a net block");
+    assert_eq!(
+        keys(&without_net(&json::record_json(net_record))),
+        keys(&without_net(&rt_json)),
+        "net and rt JSON expose different keys outside the net block"
+    );
+}
+
+/// Two fan-in clients: per-client tails, one ledger, unique merged ids.
+#[test]
+fn net_engine_merges_fan_in_clients() {
+    let s = spec(2, 0.2, 5, 42);
+    let mut engine =
+        NetEngine::new(audited_server(2), NetJob::Spin, Wire::Batched).with_clients(2);
+    let out = engine.run(&s, s.arrivals(), s.horizon);
+    let net = out.net.as_ref().expect("net block");
+    assert_eq!(net.clients.len(), 2);
+    assert_eq!(net.sent, net.responses + net.lost, "client ledger");
+    assert_eq!(net.sent, out.submitted);
+    let mut ids: Vec<u64> = out.completions.iter().map(|c| c.id.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), out.completions.len(), "duplicated merged id");
+    let audit = out.audit.as_ref().expect("audited socket run");
+    assert!(audit.is_clean(), "socket audit: {audit}");
 }
